@@ -31,6 +31,13 @@ bool pin_self(int cpu) {
 
 }  // namespace
 
+struct ExecutionEngine::CallerAffinity {
+#if defined(__linux__)
+  pthread_t thread;
+  cpu_set_t mask;
+#endif
+};
+
 ExecutionEngine::ExecutionEngine(EngineConfig cfg) : cfg_(cfg) {
   if (cfg_.pool != nullptr) {
     // Pool-backed: no private team.  nthreads is the span count per
@@ -46,7 +53,20 @@ ExecutionEngine::ExecutionEngine(EngineConfig cfg) : cfg_(cfg) {
 void ExecutionEngine::spawn_team() {
   std::vector<int> cpus = pin_cpus(topology(), cfg_.pin, nthreads_);
   bool pinned_ok = !cpus.empty();
-  if (pinned_ok && cfg_.pin_main) pinned_ok = pin_self(cpus[0]);
+  if (pinned_ok && cfg_.pin_main) {
+#if defined(__linux__)
+    // Saved once: a recycle() re-pins, but the mask to restore is the one
+    // from before the first pin.
+    if (!caller_affinity_) {
+      auto saved = std::make_unique<CallerAffinity>();
+      saved->thread = pthread_self();
+      if (pthread_getaffinity_np(saved->thread, sizeof(saved->mask),
+                                 &saved->mask) == 0)
+        caller_affinity_ = std::move(saved);
+    }
+#endif
+    pinned_ok = pin_self(cpus[0]);
+  }
 
   workers_.reserve(static_cast<std::size_t>(nthreads_ - 1));
   for (int tid = 1; tid < nthreads_; ++tid)
@@ -82,6 +102,15 @@ void ExecutionEngine::join_team() {
 
 ExecutionEngine::~ExecutionEngine() {
   if (cfg_.pool == nullptr) join_team();
+#if defined(__linux__)
+  // Unpin the caller, or every later thread and OpenMP team it starts would
+  // inherit the one-CPU mask.  Only on the thread that was pinned: another
+  // thread's handle may no longer name a live thread.
+  if (caller_affinity_ && pthread_equal(caller_affinity_->thread, pthread_self()))
+    (void)pthread_setaffinity_np(caller_affinity_->thread,
+                                 sizeof(caller_affinity_->mask),
+                                 &caller_affinity_->mask);
+#endif
 }
 
 bool ExecutionEngine::recycle() {

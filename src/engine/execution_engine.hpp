@@ -33,6 +33,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -49,7 +50,8 @@ struct EngineConfig {
   int nthreads = 0;  ///< team size; <= 0 means default_threads()
   PinPolicy pin = PinPolicy::Compact;
   /// Pin the calling thread too (it is team member 0).  Off for callers that
-  /// must keep their own affinity (e.g. a server's request thread).
+  /// must keep their own affinity (e.g. a server's request thread).  The
+  /// thread's previous mask is restored when the engine is destroyed on it.
   bool pin_main = true;
   /// Pool-backed mode: run dispatches as task spans on this shared
   /// work-stealing pool instead of a private mailbox team.  The pool must
@@ -131,6 +133,10 @@ class ExecutionEngine {
   void worker_loop(int tid);
   void spawn_team();
   void join_team();
+
+  /// The constructing thread's CPU mask from before pin_main pinned it.
+  struct CallerAffinity;
+  std::unique_ptr<CallerAffinity> caller_affinity_;
 
   EngineConfig cfg_;
   int nthreads_ = 1;

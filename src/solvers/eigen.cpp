@@ -37,14 +37,14 @@ EigenResult power_method(const LinearOperator& A, const EigenOptions& opt,
     result.iterations = it + 1;
     A.apply(result.eigenvector, next);
     // Rayleigh quotient with the (unit) current vector.
-    result.eigenvalue = dot(result.eigenvector, next);
-    const double norm = nrm2(next);
+    result.eigenvalue = dot(result.eigenvector, next, A.engine());
+    const double norm = nrm2(next, A.engine());
     if (norm == 0.0) {  // hit the null space: eigenvalue 0
       result.eigenvalue = 0.0;
       result.converged = true;
       return result;
     }
-    scal(1.0 / norm, next);
+    scal(1.0 / norm, next, A.engine());
     result.eigenvector.swap(next);
     if (it > 0 && std::abs(result.eigenvalue - lambda_prev) <=
                       opt.tolerance * std::max(1.0, std::abs(result.eigenvalue))) {
@@ -113,21 +113,22 @@ LanczosResult lanczos_extreme(const LinearOperator& A, int steps,
   V.push_back(random_unit_vector(A.nrows(), seed));
   std::vector<double> alpha, beta;
   std::vector<value_t> w(n);
+  engine::ExecutionEngine* const eng = A.engine();
 
   for (int j = 0; j < steps; ++j) {
     A.apply(V[static_cast<std::size_t>(j)], w);
     if (j > 0)
       axpy(-beta[static_cast<std::size_t>(j) - 1],
-           V[static_cast<std::size_t>(j) - 1], w);
-    const double a = dot(w, V[static_cast<std::size_t>(j)]);
+           V[static_cast<std::size_t>(j) - 1], w, eng);
+    const double a = dot(w, V[static_cast<std::size_t>(j)], eng);
     alpha.push_back(a);
-    axpy(-a, V[static_cast<std::size_t>(j)], w);
+    axpy(-a, V[static_cast<std::size_t>(j)], w, eng);
     // Full reorthogonalization (steps are small; robustness over speed).
-    for (const auto& v : V) axpy(-dot(w, v), v, w);
-    const double b = nrm2(w);
+    for (const auto& v : V) axpy(-dot(w, v, eng), v, w, eng);
+    const double b = nrm2(w, eng);
     if (b < 1e-12) break;  // invariant subspace found
     beta.push_back(b);
-    scal(1.0 / b, w);
+    scal(1.0 / b, w, eng);
     V.push_back(w);
   }
 

@@ -31,21 +31,22 @@ SolveAbort poll_cancel(const robust::CancelToken* tok) noexcept {
 SolveResult cg(const LinearOperator& A, std::span<const value_t> b,
                std::span<value_t> x, const SolverOptions& opt) {
   require_square_system(A, b.size(), x.size());
+  engine::ExecutionEngine* const eng = A.engine();
   const std::size_t n = b.size();
   std::vector<value_t> r(n), p(n), Ap(n);
 
-  const double bnorm = nrm2(b);
+  const double bnorm = nrm2(b, eng);
   if (bnorm == 0.0) {
     fill(x, 0.0);
     return {true, 0, 0.0};
   }
 
-  // r = b - A x
   A.apply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  double rr = waxpy_nrm2sq(r, b, -1.0, r, eng);  // r = b - A x
   copy(r, p);
-  double rr = dot(r, r);
 
+  // Three vector passes per iteration: p·Ap; the fused x/r update with r·r;
+  // p = r + beta p.
   SolveResult result;
   for (int it = 0; it < opt.max_iterations; ++it) {
     if ((result.aborted = poll_cancel(opt.cancel)) != SolveAbort::None)
@@ -54,18 +55,16 @@ SolveResult cg(const LinearOperator& A, std::span<const value_t> b,
     // Sizes were validated once at entry; the inner loop takes the raw
     // noexcept path (one engine dispatch per matvec when A is engine-bound).
     A.apply(p.data(), Ap.data());
-    const double pAp = dot(p, Ap);
+    const double pAp = dot(p, Ap, eng);
     if (pAp <= 0.0) break;  // not SPD (or breakdown)
     const double alpha = rr / pAp;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = dot(r, r);
+    const double rr_new = cg_update(alpha, p, Ap, x, r, eng);
     result.residual_norm = std::sqrt(rr_new) / bnorm;
     if (result.residual_norm <= opt.rel_tolerance) {
       result.converged = true;
       return result;
     }
-    xpby(r, rr_new / rr, p);  // p = r + beta p
+    xpby(r, rr_new / rr, p, eng);  // p = r + beta p
     rr = rr_new;
   }
   result.residual_norm = std::sqrt(rr) / bnorm;
@@ -84,6 +83,7 @@ std::vector<SolveResult> block_cg(const LinearOperator& A,
   if (B.size() != n * static_cast<std::size_t>(nrhs) || X.size() != B.size())
     throw std::invalid_argument("solver: vector size mismatch");
 
+  engine::ExecutionEngine* const eng = A.engine();
   const std::size_t ns = static_cast<std::size_t>(nrhs);
   std::vector<value_t> R(n * ns), P(n * ns), AP(n * ns);
   std::vector<double> bnorm(ns), rr(ns);
@@ -101,18 +101,16 @@ std::vector<SolveResult> block_cg(const LinearOperator& A,
   A.apply_many(X.data(), R.data(), static_cast<index_t>(ns));
   for (std::size_t r = 0; r < ns; ++r) {
     const std::span<const value_t> br = B.subspan(r * n, n);
-    bnorm[r] = nrm2(br);
+    bnorm[r] = nrm2(br, eng);
     if (bnorm[r] == 0.0) {
       fill(X.subspan(r * n, n), 0.0);
       fill(sys(R, r), 0.0);
       results[r].converged = true;
       live[r] = 0;
     } else {
-      const std::span<value_t> rr_span = sys(R, r);
-      for (std::size_t i = 0; i < n; ++i) rr_span[i] = br[i] - rr_span[i];
+      rr[r] = waxpy_nrm2sq(sys(R, r), br, -1.0, sys(R, r), eng);
     }
     copy(sys(R, r), sys(P, r));  // frozen systems copy a zero residual
-    rr[r] = dot(sys(R, r), sys(R, r));
   }
 
   std::size_t remaining = 0;
@@ -131,7 +129,7 @@ std::vector<SolveResult> block_cg(const LinearOperator& A,
       results[r].iterations = it + 1;
       const std::span<value_t> p = sys(P, r);
       const std::span<value_t> ap = sys(AP, r);
-      const double pAp = dot(p, ap);
+      const double pAp = dot(p, ap, eng);
       if (pAp <= 0.0) {  // not SPD (or breakdown): freeze at current iterate
         results[r].residual_norm = std::sqrt(rr[r]) / bnorm[r];
         fill(p, 0.0);
@@ -140,9 +138,8 @@ std::vector<SolveResult> block_cg(const LinearOperator& A,
         continue;
       }
       const double alpha = rr[r] / pAp;
-      axpy(alpha, p, X.subspan(r * n, n));
-      axpy(-alpha, ap, sys(R, r));
-      const double rr_new = dot(sys(R, r), sys(R, r));
+      const double rr_new =
+          cg_update(alpha, p, ap, X.subspan(r * n, n), sys(R, r), eng);
       results[r].residual_norm = std::sqrt(rr_new) / bnorm[r];
       if (results[r].residual_norm <= opt.rel_tolerance) {
         results[r].converged = true;
@@ -151,7 +148,7 @@ std::vector<SolveResult> block_cg(const LinearOperator& A,
         --remaining;
         continue;
       }
-      xpby(sys(R, r), rr_new / rr[r], p);  // p = r + beta p
+      xpby(sys(R, r), rr_new / rr[r], p, eng);  // p = r + beta p
       rr[r] = rr_new;
     }
   }
@@ -163,21 +160,24 @@ std::vector<SolveResult> block_cg(const LinearOperator& A,
 SolveResult bicgstab(const LinearOperator& A, std::span<const value_t> b,
                      std::span<value_t> x, const SolverOptions& opt) {
   require_square_system(A, b.size(), x.size());
+  engine::ExecutionEngine* const eng = A.engine();
   const std::size_t n = b.size();
-  std::vector<value_t> r(n), r0(n), p(n), v(n), s(n), t(n);
+  std::vector<value_t> rv(n), r0v(n), pv(n), vv(n), sv(n), tv(n);
+  const std::span<value_t> r(rv), r0(r0v), p(pv), v(vv), s(sv), t(tv);
 
-  const double bnorm = nrm2(b);
+  const double bnorm = nrm2(b, eng);
   if (bnorm == 0.0) {
     fill(x, 0.0);
     return {true, 0, 0.0};
   }
 
   A.apply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  double rho = waxpy_nrm2sq(r, b, -1.0, r, eng);  // r = b - A x; r0·r
   copy(r, r0);
   copy(r, p);
-  double rho = dot(r0, r);
 
+  // Six vector passes per iteration: r0·v; s = r - alpha v with s·s; t·t and
+  // t·s; the x update; r = s - omega t with r·r and r0·r; the p update.
   SolveResult result;
   for (int it = 0; it < opt.max_iterations; ++it) {
     if ((result.aborted = poll_cancel(opt.cancel)) != SolveAbort::None)
@@ -185,35 +185,43 @@ SolveResult bicgstab(const LinearOperator& A, std::span<const value_t> b,
     result.iterations = it + 1;
     if (rho == 0.0) break;
     A.apply(p.data(), v.data());
-    const double alpha_den = dot(r0, v);
+    const double alpha_den = dot(r0, v, eng);
     if (alpha_den == 0.0) break;
     const double alpha = rho / alpha_den;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    const double snorm = nrm2(s);
+    const double snorm = std::sqrt(waxpy_nrm2sq(s, r, -alpha, v, eng));
     if (snorm / bnorm <= opt.rel_tolerance) {
-      axpy(alpha, p, x);
+      axpy(alpha, p, x, eng);
       result.converged = true;
       result.residual_norm = snorm / bnorm;
       return result;
     }
     A.apply(s.data(), t.data());
-    const double tt = dot(t, t);
+    const auto [tt, ts] = for_each_index<2>(eng, n, [t, s](std::size_t i) {
+      return std::array<double, 2>{t[i] * t[i], t[i] * s[i]};
+    });
     if (tt == 0.0) break;
-    const double omega = dot(t, s) / tt;
+    const double omega = ts / tt;
     if (omega == 0.0) break;
-    axpy(alpha, p, x);
-    axpy(omega, s, x);
-    for (std::size_t i = 0; i < n; ++i) r[i] = s[i] - omega * t[i];
-    result.residual_norm = nrm2(r) / bnorm;
+    for_each_index<0>(eng, n, [x, p, s, alpha, omega](std::size_t i) {
+      x[i] += alpha * p[i];
+      x[i] += omega * s[i];
+    });
+    const value_t nomega = -omega;
+    const auto [rr, rho_new] =
+        for_each_index<2>(eng, n, [r, r0, s, t, nomega](std::size_t i) {
+          r[i] = s[i] + nomega * t[i];
+          return std::array<double, 2>{r[i] * r[i], r0[i] * r[i]};
+        });
+    result.residual_norm = std::sqrt(rr) / bnorm;
     if (result.residual_norm <= opt.rel_tolerance) {
       result.converged = true;
       return result;
     }
-    const double rho_new = dot(r0, r);
     const double beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
-    for (std::size_t i = 0; i < n; ++i)
+    for_each_index<0>(eng, n, [p, r, v, beta, omega](std::size_t i) {
       p[i] = r[i] + beta * (p[i] - omega * v[i]);
+    });
   }
   return result;
 }
@@ -222,10 +230,11 @@ SolveResult gmres(const LinearOperator& A, std::span<const value_t> b,
                   std::span<value_t> x, int restart, const SolverOptions& opt) {
   require_square_system(A, b.size(), x.size());
   if (restart < 1) throw std::invalid_argument("gmres: restart < 1");
+  engine::ExecutionEngine* const eng = A.engine();
   const std::size_t n = b.size();
   const int m = restart;
 
-  const double bnorm = nrm2(b);
+  const double bnorm = nrm2(b, eng);
   if (bnorm == 0.0) {
     fill(x, 0.0);
     return {true, 0, 0.0};
@@ -248,15 +257,14 @@ SolveResult gmres(const LinearOperator& A, std::span<const value_t> b,
   while (total_iters < opt.max_iterations) {
     // r = b - A x;  V[0] = r / ||r||
     A.apply(x, w);
-    for (std::size_t i = 0; i < n; ++i) V[0][i] = b[i] - w[i];
-    double beta = nrm2(V[0]);
+    const double beta = std::sqrt(waxpy_nrm2sq(V[0], b, -1.0, w, eng));
     result.residual_norm = beta / bnorm;
     if (result.residual_norm <= opt.rel_tolerance) {
       result.converged = true;
       result.iterations = total_iters;
       return result;
     }
-    scal(1.0 / beta, V[0]);
+    scal(1.0 / beta, V[0], eng);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
 
@@ -264,18 +272,24 @@ SolveResult gmres(const LinearOperator& A, std::span<const value_t> b,
     for (; j < m && total_iters < opt.max_iterations; ++j, ++total_iters) {
       if ((result.aborted = poll_cancel(opt.cancel)) != SolveAbort::None)
         break;  // fall through to the update: x absorbs the j columns built
-      // Arnoldi with modified Gram-Schmidt.
+      // Arnoldi with modified Gram-Schmidt: each w -= h_i v_i pass also
+      // takes the next projection w·v_{i+1}, and the last one ‖w‖².
       A.apply(V[static_cast<std::size_t>(j)], w);
+      double h = dot(w, V[0], eng);
       for (int i = 0; i <= j; ++i) {
-        const double h = dot(w, V[static_cast<std::size_t>(i)]);
         H[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = h;
-        axpy(-h, V[static_cast<std::size_t>(i)], w);
+        const std::vector<value_t>& next =
+            i < j ? V[static_cast<std::size_t>(i) + 1] : w;
+        h = axpy_dot(-h, V[static_cast<std::size_t>(i)], w, next, eng);
       }
-      const double hnext = nrm2(w);
+      const double hnext = std::sqrt(h);
       H[static_cast<std::size_t>(j)][static_cast<std::size_t>(j) + 1] = hnext;
       if (hnext != 0.0) {
-        copy(w, V[static_cast<std::size_t>(j) + 1]);
-        scal(1.0 / hnext, V[static_cast<std::size_t>(j) + 1]);
+        const double inv = 1.0 / hnext;
+        const std::span<const value_t> ws(w);
+        const std::span<value_t> vn(V[static_cast<std::size_t>(j) + 1]);
+        for_each_index<0>(eng, n,
+                          [ws, vn, inv](std::size_t k) { vn[k] = ws[k] * inv; });
       }
 
       // Apply previous Givens rotations to the new column.
@@ -325,7 +339,8 @@ SolveResult gmres(const LinearOperator& A, std::span<const value_t> b,
           s / H[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
     }
     for (int i = 0; i < j; ++i)
-      axpy(yv[static_cast<std::size_t>(i)], V[static_cast<std::size_t>(i)], x);
+      axpy(yv[static_cast<std::size_t>(i)], V[static_cast<std::size_t>(i)], x,
+           eng);
 
     if (result.residual_norm <= opt.rel_tolerance) {
       result.converged = true;

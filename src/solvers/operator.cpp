@@ -11,11 +11,13 @@
 namespace spmvopt::solvers {
 
 LinearOperator::LinearOperator(index_t nrows, index_t ncols, ApplyFn apply,
-                               ApplyManyFn apply_many)
+                               ApplyManyFn apply_many,
+                               engine::ExecutionEngine* engine)
     : nrows_(nrows),
       ncols_(ncols),
       apply_(std::move(apply)),
-      many_(std::move(apply_many)) {
+      many_(std::move(apply_many)),
+      engine_(engine) {
   if (nrows < 0 || ncols < 0 || !apply_)
     throw std::invalid_argument("LinearOperator: bad arguments");
 }
@@ -36,7 +38,8 @@ LinearOperator LinearOperator::from_optimized(
       [&spmv](const value_t* x, value_t* y) { spmv.run(x, y); },
       [&spmv](const value_t* X, value_t* Y, index_t nrhs) {
         spmv.run_many(X, Y, static_cast<int>(nrhs));
-      });
+      },
+      spmv.engine());
 }
 
 void LinearOperator::apply(std::span<const value_t> x,

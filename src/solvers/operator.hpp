@@ -22,19 +22,27 @@ class LinearOperator {
 
   /// The callable must not throw — the raw apply() below is the noexcept
   /// hot path of the DESIGN.md §8 run convention.  `apply_many` is optional;
-  /// when absent, apply_many() falls back to nrhs single applies.
+  /// when absent, apply_many() falls back to nrhs single applies.  `engine`
+  /// (not owned) is where the solvers run their vector operations; null
+  /// selects the fallback executor (solvers/blas1.hpp).
   LinearOperator(index_t nrows, index_t ncols, ApplyFn apply,
-                 ApplyManyFn apply_many = nullptr);
+                 ApplyManyFn apply_many = nullptr,
+                 engine::ExecutionEngine* engine = nullptr);
 
-  /// Views `A` (caller keeps it alive).
+  /// Views `A` (caller keeps it alive).  No engine: vector operations take
+  /// the fallback executor.
   static LinearOperator from_csr(const CsrMatrix& A);
   /// Views `spmv` (caller keeps it alive).  When `spmv` is engine-bound,
-  /// every solver matvec runs on the persistent team — this is how CG /
-  /// BiCGSTAB sweeps route through the engine.
+  /// every solver matvec and every large vector operation runs on its
+  /// persistent team — one runtime per solve.
   static LinearOperator from_optimized(const optimize::OptimizedSpmv& spmv);
 
   [[nodiscard]] index_t nrows() const noexcept { return nrows_; }
   [[nodiscard]] index_t ncols() const noexcept { return ncols_; }
+  /// Engine the solvers' vector operations run on; null when none.
+  [[nodiscard]] engine::ExecutionEngine* engine() const noexcept {
+    return engine_;
+  }
 
   /// y = A * x.  Hot path: unchecked, noexcept (solver inner loops validate
   /// sizes once at entry, not per iteration).
@@ -66,6 +74,7 @@ class LinearOperator {
   index_t ncols_;
   ApplyFn apply_;
   ApplyManyFn many_;
+  engine::ExecutionEngine* engine_;
 };
 
 }  // namespace spmvopt::solvers

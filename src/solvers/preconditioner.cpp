@@ -104,9 +104,10 @@ SolveResult pcg(const LinearOperator& A, const Preconditioner& M,
   if (b.size() != static_cast<std::size_t>(A.nrows()) || x.size() != b.size())
     throw std::invalid_argument("pcg: vector size mismatch");
 
+  engine::ExecutionEngine* const eng = A.engine();
   const std::size_t n = b.size();
   std::vector<value_t> r(n), z(n), p(n), Ap(n);
-  const double bnorm = nrm2(b);
+  const double bnorm = nrm2(b, eng);
   if (bnorm == 0.0) {
     fill(x, 0.0);
     return {true, 0, 0.0};
@@ -116,25 +117,26 @@ SolveResult pcg(const LinearOperator& A, const Preconditioner& M,
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
   M.apply(r, z);
   copy(z, p);
-  double rz = dot(r, z);
+  double rz = dot(r, z, eng);
 
+  // Four vector passes per iteration besides M: p·Ap; the fused x/r update
+  // with r·r; r·z; p = z + beta p.
   SolveResult result;
   for (int it = 0; it < opt.max_iterations; ++it) {
     result.iterations = it + 1;
     A.apply(p, Ap);
-    const double pAp = dot(p, Ap);
+    const double pAp = dot(p, Ap, eng);
     if (pAp <= 0.0) break;
     const double alpha = rz / pAp;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    result.residual_norm = nrm2(r) / bnorm;
+    const double rr = cg_update(alpha, p, Ap, x, r, eng);
+    result.residual_norm = std::sqrt(rr) / bnorm;
     if (result.residual_norm <= opt.rel_tolerance) {
       result.converged = true;
       return result;
     }
     M.apply(r, z);
-    const double rz_new = dot(r, z);
-    xpby(z, rz_new / rz, p);
+    const double rz_new = dot(r, z, eng);
+    xpby(z, rz_new / rz, p, eng);
     rz = rz_new;
   }
   return result;

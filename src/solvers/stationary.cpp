@@ -111,7 +111,7 @@ SolveResult chebyshev(const LinearOperator& A, std::span<const value_t> b,
   if (check_every < 1) throw std::invalid_argument("chebyshev: bad check_every");
 
   const std::size_t n = b.size();
-  const double bnorm = nrm2(b);
+  const double bnorm = nrm2(b, A.engine());
   if (bnorm == 0.0) {
     fill(x, 0.0);
     return {true, 0, 0.0};
@@ -130,7 +130,7 @@ SolveResult chebyshev(const LinearOperator& A, std::span<const value_t> b,
   SolveResult result;
   for (int it = 0; it < opt.max_iterations; ++it) {
     result.iterations = it + 1;
-    axpy(1.0, d, x);
+    axpy(1.0, d, x, A.engine());
     // r -= A d (the only SpMV; no inner products in the update).
     A.apply(d, ad);
     for (std::size_t i = 0; i < n; ++i) r[i] -= ad[i];
@@ -142,14 +142,14 @@ SolveResult chebyshev(const LinearOperator& A, std::span<const value_t> b,
     rho = rho_new;
 
     if ((it + 1) % check_every == 0 || it + 1 == opt.max_iterations) {
-      result.residual_norm = nrm2(r) / bnorm;
+      result.residual_norm = nrm2(r, A.engine()) / bnorm;
       if (result.residual_norm <= opt.rel_tolerance) {
         result.converged = true;
         return result;
       }
     }
   }
-  result.residual_norm = nrm2(r) / bnorm;
+  result.residual_norm = nrm2(r, A.engine()) / bnorm;
   result.converged = result.residual_norm <= opt.rel_tolerance;
   return result;
 }

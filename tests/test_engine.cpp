@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
@@ -192,6 +195,27 @@ TEST(Engine, CompactPinningPinsWholeTeamOnLinux) {
   }
 #else
   EXPECT_TRUE(eng.pinned_cpus().empty());
+#endif
+}
+
+TEST(Engine, DestructionRestoresTheCallersAffinity) {
+#if defined(__linux__)
+  // pin_main pins this thread to one CPU; once the engine is gone the thread
+  // must get its old mask back, or every later thread and OpenMP team it
+  // starts stays crowded onto that CPU.
+  cpu_set_t before, during, after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  {
+    ExecutionEngine eng({.nthreads = 2, .pin = PinPolicy::Compact, .pin_main = true});
+    if (eng.pinned_cpus().empty()) GTEST_SKIP() << "the host refused pinning";
+    ASSERT_EQ(sched_getaffinity(0, sizeof(during), &during), 0);
+    EXPECT_EQ(CPU_COUNT(&during), 1);
+    ASSERT_TRUE(eng.recycle());  // a re-pin must not replace the saved mask
+  }
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+#else
+  GTEST_SKIP() << "affinity is Linux-only";
 #endif
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "gen/generators.hpp"
+#include "solvers/blas1.hpp"
 #include "solvers/preconditioner.hpp"
 
 namespace spmvopt::solvers {
@@ -138,6 +141,39 @@ TEST(Pcg, ZeroRhs) {
   const auto r = pcg(op, JacobiPreconditioner(a), b, x);
   EXPECT_TRUE(r.converged);
   for (value_t v : x) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(Pcg, EngineBoundSolveIsRepeatableAndMatchesCsr) {
+  // Long enough (≥ 2 grains) that PCG's vector kernels run as dispatches on
+  // the two-member engine; their member-ordered reductions make the solve
+  // bitwise repeatable.
+  const CsrMatrix a = gen::stencil_3d_7pt(34, 34, 34);
+  ASSERT_GE(static_cast<std::size_t>(a.nrows()), 2 * kVectorGrain);
+  engine::ExecutionEngine eng({.nthreads = 2, .pin = PinPolicy::None});
+  const auto spmv = optimize::OptimizedSpmv::create(a, {}, eng);
+  const auto op = LinearOperator::from_optimized(spmv);
+  ASSERT_EQ(op.engine(), &eng);
+  std::vector<value_t> x_true;
+  const auto b = rhs_for(a, x_true);
+  const JacobiPreconditioner m(a);
+  const auto run = [&](const LinearOperator& A) {
+    std::vector<value_t> x(b.size(), 0.0);
+    const auto r = pcg(A, m, b, x, {.rel_tolerance = 1e-10});
+    EXPECT_TRUE(r.converged);
+    return std::pair{r.iterations, x};
+  };
+  const std::uint64_t d0 = eng.dispatch_count();
+  const auto first = run(op);
+  EXPECT_GT(eng.dispatch_count() - d0,
+            static_cast<std::uint64_t>(first.first) + 1);
+  const auto second = run(op);
+  EXPECT_EQ(first.first, second.first);
+  EXPECT_EQ(first.second, second.second);
+  const auto csr = run(LinearOperator::from_csr(a));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_NEAR(first.second[i], x_true[i], 1e-5);
+    EXPECT_NEAR(csr.second[i], x_true[i], 1e-5);
+  }
 }
 
 }  // namespace

@@ -1291,6 +1291,14 @@ TEST_F(MultiExecSocketFixture, SmallTenantCompletesWhileMonsterStillRuns) {
   const CsrMatrix big = heavy_matrix();
   auto bigsub = heavy.submit(big);
   ASSERT_TRUE(bigsub.ok()) << bigsub.error().to_string();
+  // Both tenants submit before the monster starts, so from here on only the
+  // monster's execution can move the engine's dispatch counter.
+  Client small = connect();
+  const CsrMatrix a = small_matrix(33);
+  auto sub = small.submit(a);
+  ASSERT_TRUE(sub.ok()) << sub.error().to_string();
+  const auto x = gen::test_vector(a.ncols());
+  const std::uint64_t idle_dispatches = core_->stats().engine_dispatches;
 
   std::atomic<bool> heavy_done{false};
   std::thread monster([&] {
@@ -1300,17 +1308,16 @@ TEST_F(MultiExecSocketFixture, SmallTenantCompletesWhileMonsterStillRuns) {
     heavy_done.store(true);
   });
 
-  // Keep the small tenant running until its requests demonstrably overlap
-  // the monster's EXECUTION (peak_concurrent >= 2).  Wall-clock overlap
-  // alone proves nothing: the monster's 38 MB payload spends a while on the
-  // wire before its handle() ever starts.
-  Client small = connect();
-  const CsrMatrix a = small_matrix(33);
-  auto sub = small.submit(a);
-  ASSERT_TRUE(sub.ok()) << sub.error().to_string();
-  const auto x = gen::test_vector(a.ncols());
+  // Wall-clock overlap alone proves nothing: the monster's 38 MB payload
+  // spends a while on the wire (long under a loaded host) before its
+  // handle() starts.  So wait for its first dispatch, then keep the small
+  // tenant running until its requests demonstrably overlap the monster's
+  // EXECUTION (peak_concurrent >= 2) or the monster is over.
+  while (core_->stats().engine_dispatches == idle_dispatches &&
+         !heavy_done.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   bool overlapped = false;
-  for (int r = 0; r < 5000 && !heavy_done.load() && !overlapped; ++r) {
+  while (!heavy_done.load() && !overlapped) {
     auto y = small.run(sub.value().fp, x);
     ASSERT_TRUE(y.ok()) << y.error().to_string();
     expect_ulp_match(a, x, y.value());
