@@ -21,7 +21,7 @@ void require_same(std::size_t a, std::size_t b) {
 }
 
 /// Doubles per member partial: one cache line, so members never share one.
-constexpr std::size_t kPartialStride = 8;
+constexpr std::size_t kPartialStride = detail::kMaxSums;
 
 /// Member `t` of `nt` owns the static slice [n*t/nt, n*(t+1)/nt).
 std::size_t slice_edge(std::size_t n, int t, int nt) {

@@ -37,6 +37,9 @@ inline constexpr std::size_t kVectorGrain = 16384;
 [[nodiscard]] int fallback_threads(std::size_t n);
 
 namespace detail {
+/// Most sums one kernel may reduce: one cache line of member partials.
+inline constexpr std::size_t kMaxSums = 8;
+
 /// Type-erased span body: runs [begin,end) and writes its partial sums.
 using SpanFn = void (*)(const void* ctx, std::size_t begin, std::size_t end,
                         double* sums);
@@ -73,6 +76,7 @@ std::array<double, K> lane_sums(std::size_t b, std::size_t e, F&& f) {
 template <std::size_t K, class F>
 std::array<double, K> for_each_index(engine::ExecutionEngine* eng,
                                      std::size_t n, const F& f) {
+  static_assert(K <= detail::kMaxSums);
   const detail::SpanFn fn = [](const void* ctx, std::size_t b, std::size_t e,
                                double* sums) {
     const F& body = *static_cast<const F*>(ctx);
