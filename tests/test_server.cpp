@@ -1413,39 +1413,65 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
   auto bigsub = c.submit(big);
   ASSERT_TRUE(bigsub.ok()) << bigsub.error().to_string();
 
-  // A peer tenant stays live through the whole fire-and-recycle episode:
-  // the recycle gate must drain it, recycle, and let it resume — never
-  // recycle the pool under its feet, never deadlock against it.
+  // A peer tenant stays live around the fire-and-recycle episode: the
+  // recycle gate must drain it, recycle, and let it resume — never recycle
+  // the pool under its feet, never deadlock against it.  It parks only from
+  // the arming until the fire is counted: the one-shot fault fires on the
+  // first active job the watchdog sweeps, so a peer request in flight at
+  // that poll would absorb the fire instead of the monster.  Once resumed,
+  // its requests race the monster's cancellation and the recycle claim.
+  const std::uint64_t fires_before = core_->stats().watchdog_fires;
   std::atomic<bool> stop_peer{false};
+  std::atomic<bool> hold_peer{false};
+  std::atomic<bool> peer_parked{false};
+  std::atomic<int> peer_runs{0};
   std::atomic<int> peer_failures{0};
   std::thread peer([&] {
     auto pc = Client::connect(socket_path_);
     if (!pc.ok()) {
       ++peer_failures;
+      peer_parked.store(true);
       return;
     }
     const CsrMatrix a = small_matrix(88);
     auto sub = pc.value().submit(a);
     if (!sub.ok()) {
       ++peer_failures;
+      peer_parked.store(true);
       return;
     }
     const auto x = gen::test_vector(a.ncols());
     while (!stop_peer.load()) {
-      auto y = pc.value().run(sub.value().fp, x);
-      if (!y.ok()) {
-        // The one-shot fault sweeps whichever entries are active at poll
-        // time, so the peer's own run can absorb the fire and be cancelled
-        // — a legitimate watchdog outcome.  Anything else is a failure.
-        if (y.error().category() != ErrorCategory::Cancelled) ++peer_failures;
-      } else if (!verify::check_spmv(a, x, y.value()).pass()) {
-        ++peer_failures;
+      if (hold_peer.load() && core_->stats().watchdog_fires == fires_before) {
+        peer_parked.store(true);  // no peer request is in flight from here
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
       }
+      auto y = pc.value().run(sub.value().fp, x);
+      if (!y.ok() || !verify::check_spmv(a, x, y.value()).pass())
+        ++peer_failures;
+      else
+        ++peer_runs;
     }
   });
+  const auto wait_for = [](const auto& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  wait_for([&] { return peer_runs.load() > 0 || peer_failures.load() > 0; });
+  EXPECT_GT(peer_runs.load(), 0) << "the peer never ran before the fire";
+  hold_peer.store(true);
+  wait_for([&] { return peer_parked.load(); });
+  if (!peer_parked.load()) {
+    stop_peer.store(true);
+    peer.join();
+    FAIL() << "the peer did not park before the fire";
+  }
 
-  // Because the fire is one-shot and the peer may absorb it (above), re-arm
-  // and rerun until the monster is the one the watchdog cancels.
+  // With the peer parked the monster is the only job the fire can land on;
+  // rerun only if its sweep ends before a watchdog poll sees it active.
   const std::vector<value_t> rhs = heavy_rhs(big, 96);
   bool monster_tripped = false;
   for (int attempt = 0; attempt < 10 && !monster_tripped; ++attempt) {
@@ -1462,19 +1488,23 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
   robust::fault_disarm_all();
 
   ServerStats st;
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  do {
+  wait_for([&] {
     st = core_->stats();
-    if (st.watchdog_fires >= 1 && st.engine_recycles >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  } while (std::chrono::steady_clock::now() < give_up);
+    return st.watchdog_fires >= fires_before + 1 && st.engine_recycles >= 1;
+  });
+  // The peer resumes on the fresh pool.
+  const int runs_after_recycle = peer_runs.load();
+  wait_for([&] {
+    return peer_runs.load() > runs_after_recycle || peer_failures.load() > 0;
+  });
   stop_peer.store(true);
   peer.join();
 
   EXPECT_TRUE(monster_tripped);
-  EXPECT_GE(st.watchdog_fires, 1u);
+  EXPECT_GE(st.watchdog_fires, fires_before + 1);
   EXPECT_GE(st.engine_recycles, 1u);
+  EXPECT_GT(peer_runs.load(), runs_after_recycle)
+      << "the peer did not resume after the recycle";
   EXPECT_EQ(peer_failures.load(), 0);
 
   // Post-recycle correctness on a fresh pool.
