@@ -12,6 +12,7 @@
 #include "support/env.hpp"
 #include "gen/suite.hpp"
 #include "classify/feature_classifier.hpp"
+#include "engine/execution_engine.hpp"
 #include "gen/generators.hpp"
 #include "mklcompat/inspector_executor.hpp"
 #include "mklcompat/ref_csr.hpp"
@@ -91,6 +92,19 @@ void run_case(const SolveCase& sc, const classify::FeatureClassifier& clf,
     const auto op = solvers::LinearOperator::from_optimized(out.spmv);
     const auto [sec, iters, ok] = solve_with(op);
     add("feature-guided", out.preprocess_seconds, sec, iters, ok);
+  }
+  {
+    // The same plan on a default engine (caller and team pinned): matvecs
+    // and large vector kernels run on one team (DESIGN.md §8).
+    const auto out = optimize::optimize_feature(sc.a, clf, cfg);
+    engine::ExecutionEngine eng(engine::EngineConfig{});
+    Timer bind;
+    const auto spmv = optimize::OptimizedSpmv::create(sc.a, out.plan, eng);
+    const double bind_sec = bind.elapsed_sec();
+    const auto op = solvers::LinearOperator::from_optimized(spmv);
+    const auto [sec, iters, ok] = solve_with(op);
+    add("feature-guided, engine-bound", out.preprocess_seconds + bind_sec, sec,
+        iters, ok);
   }
   if (sc.spd) {
     // Preconditioning slashes iterations — the regime where only the

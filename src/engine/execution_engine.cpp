@@ -29,14 +29,18 @@ bool pin_self(int cpu) {
 #endif
 }
 
-}  // namespace
-
-struct ExecutionEngine::CallerAffinity {
 #if defined(__linux__)
-  pthread_t thread;
-  cpu_set_t mask;
-#endif
+/// A thread's mask from before the first live pin_main engine pinned it, and
+/// how many such engines live on it.  The mask comes back when the last of
+/// them is destroyed, in whatever order they go.
+struct CallerPin {
+  cpu_set_t original;
+  int live = 0;
 };
+thread_local CallerPin t_caller_pin;
+#endif
+
+}  // namespace
 
 ExecutionEngine::ExecutionEngine(EngineConfig cfg) : cfg_(cfg) {
   if (cfg_.pool != nullptr) {
@@ -55,14 +59,13 @@ void ExecutionEngine::spawn_team() {
   bool pinned_ok = !cpus.empty();
   if (pinned_ok && cfg_.pin_main) {
 #if defined(__linux__)
-    // Saved once: a recycle() re-pins, but the mask to restore is the one
-    // from before the first pin.
-    if (!caller_affinity_) {
-      auto saved = std::make_unique<CallerAffinity>();
-      saved->thread = pthread_self();
-      if (pthread_getaffinity_np(saved->thread, sizeof(saved->mask),
-                                 &saved->mask) == 0)
-        caller_affinity_ = std::move(saved);
+    // Counted once: a recycle() re-pins, but this engine still holds one pin.
+    CallerPin& cp = t_caller_pin;
+    if (pinned_caller_ == std::thread::id{} &&
+        (cp.live > 0 ||
+         sched_getaffinity(0, sizeof(cp.original), &cp.original) == 0)) {
+      ++cp.live;
+      pinned_caller_ = std::this_thread::get_id();
     }
 #endif
     pinned_ok = pin_self(cpus[0]);
@@ -103,13 +106,13 @@ void ExecutionEngine::join_team() {
 ExecutionEngine::~ExecutionEngine() {
   if (cfg_.pool == nullptr) join_team();
 #if defined(__linux__)
-  // Unpin the caller, or every later thread and OpenMP team it starts would
-  // inherit the one-CPU mask.  Only on the thread that was pinned: another
-  // thread's handle may no longer name a live thread.
-  if (caller_affinity_ && pthread_equal(caller_affinity_->thread, pthread_self()))
-    (void)pthread_setaffinity_np(caller_affinity_->thread,
-                                 sizeof(caller_affinity_->mask),
-                                 &caller_affinity_->mask);
+  // Unpin the caller once no pin_main engine lives on it, or every later
+  // thread and OpenMP team it starts would inherit the one-CPU mask.  Only on
+  // the thread that was pinned: the count and mask are that thread's own.
+  if (pinned_caller_ == std::this_thread::get_id() &&
+      --t_caller_pin.live == 0)
+    (void)sched_setaffinity(0, sizeof(t_caller_pin.original),
+                            &t_caller_pin.original);
 #endif
 }
 

@@ -33,7 +33,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -51,7 +50,8 @@ struct EngineConfig {
   PinPolicy pin = PinPolicy::Compact;
   /// Pin the calling thread too (it is team member 0).  Off for callers that
   /// must keep their own affinity (e.g. a server's request thread).  The
-  /// thread's previous mask is restored when the engine is destroyed on it.
+  /// thread's previous mask comes back once every pin_main engine built on it
+  /// has been destroyed on it, in any order.
   bool pin_main = true;
   /// Pool-backed mode: run dispatches as task spans on this shared
   /// work-stealing pool instead of a private mailbox team.  The pool must
@@ -134,9 +134,9 @@ class ExecutionEngine {
   void spawn_team();
   void join_team();
 
-  /// The constructing thread's CPU mask from before pin_main pinned it.
-  struct CallerAffinity;
-  std::unique_ptr<CallerAffinity> caller_affinity_;
+  /// The thread pin_main pinned, while this engine holds that pin (restored
+  /// once the thread's last such engine is destroyed); empty otherwise.
+  std::thread::id pinned_caller_;
 
   EngineConfig cfg_;
   int nthreads_ = 1;

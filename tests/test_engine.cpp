@@ -16,6 +16,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -212,6 +213,29 @@ TEST(Engine, DestructionRestoresTheCallersAffinity) {
     EXPECT_EQ(CPU_COUNT(&during), 1);
     ASSERT_TRUE(eng.recycle());  // a re-pin must not replace the saved mask
   }
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+#else
+  GTEST_SKIP() << "affinity is Linux-only";
+#endif
+}
+
+TEST(Engine, DestructionInConstructionOrderRestoresTheCallersAffinity) {
+#if defined(__linux__)
+  // Engines kept in a vector go front to back: the thread stays pinned while
+  // either lives and gets its old mask back only after the second goes.
+  cpu_set_t before, between, after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  std::vector<std::unique_ptr<ExecutionEngine>> engines;
+  for (const PinPolicy pin : {PinPolicy::Compact, PinPolicy::Scatter})
+    engines.push_back(std::make_unique<ExecutionEngine>(
+        EngineConfig{.nthreads = 2, .pin = pin, .pin_main = true}));
+  if (engines[0]->pinned_cpus().empty() || engines[1]->pinned_cpus().empty())
+    GTEST_SKIP() << "the host refused pinning";
+  engines.erase(engines.begin());
+  ASSERT_EQ(sched_getaffinity(0, sizeof(between), &between), 0);
+  EXPECT_EQ(CPU_COUNT(&between), 1);
+  engines.clear();
   ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
   EXPECT_TRUE(CPU_EQUAL(&before, &after));
 #else

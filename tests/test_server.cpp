@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -1415,11 +1416,12 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
 
   // A peer tenant stays live around the fire-and-recycle episode: the
   // recycle gate must drain it, recycle, and let it resume — never recycle
-  // the pool under its feet, never deadlock against it.  It parks only from
-  // the arming until the fire is counted: the one-shot fault fires on the
-  // first active job the watchdog sweeps, so a peer request in flight at
-  // that poll would absorb the fire instead of the monster.  Once resumed,
-  // its requests race the monster's cancellation and the recycle claim.
+  // the pool under its feet, never deadlock against it.  It parks while the
+  // fault is armed: the one-shot fault fires on the first active job the
+  // watchdog sweeps, so a peer request in flight at that poll would absorb
+  // the fire instead of the monster (the next test covers that path).
+  // Between attempts and after the last, its requests race the monster's
+  // cancellation and the recycle claim.
   const std::uint64_t fires_before = core_->stats().watchdog_fires;
   std::atomic<bool> stop_peer{false};
   std::atomic<bool> hold_peer{false};
@@ -1442,7 +1444,7 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
     }
     const auto x = gen::test_vector(a.ncols());
     while (!stop_peer.load()) {
-      if (hold_peer.load() && core_->stats().watchdog_fires == fires_before) {
+      if (hold_peer.load()) {
         peer_parked.store(true);  // no peer request is in flight from here
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         continue;
@@ -1460,21 +1462,27 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
     while (!done() && std::chrono::steady_clock::now() < give_up)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
+  // Parks the peer: cleared first so a stale flag from the last park cannot
+  // pass for this one.
+  const auto park_peer = [&] {
+    peer_parked.store(false);
+    hold_peer.store(true);
+    wait_for([&] { return peer_parked.load(); });
+    return peer_parked.load();
+  };
   wait_for([&] { return peer_runs.load() > 0 || peer_failures.load() > 0; });
   EXPECT_GT(peer_runs.load(), 0) << "the peer never ran before the fire";
-  hold_peer.store(true);
-  wait_for([&] { return peer_parked.load(); });
-  if (!peer_parked.load()) {
-    stop_peer.store(true);
-    peer.join();
-    FAIL() << "the peer did not park before the fire";
-  }
 
   // With the peer parked the monster is the only job the fire can land on;
-  // rerun only if its sweep ends before a watchdog poll sees it active.
+  // rerun only if its sweep ends before a watchdog poll cancels it.
   const std::vector<value_t> rhs = heavy_rhs(big, 96);
   bool monster_tripped = false;
   for (int attempt = 0; attempt < 10 && !monster_tripped; ++attempt) {
+    if (!park_peer()) {
+      stop_peer.store(true);
+      peer.join();
+      FAIL() << "the peer did not park before the fire";
+    }
     robust::fault_arm("server.watchdog_fire");
     CallOptions opts;
     opts.request_id = 9;
@@ -1484,8 +1492,9 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
           << r.error().to_string();
       monster_tripped = true;
     }
+    robust::fault_disarm_all();
+    hold_peer.store(false);
   }
-  robust::fault_disarm_all();
 
   ServerStats st;
   wait_for([&] {
@@ -1515,6 +1524,75 @@ TEST_F(MultiExecSocketFixture, WatchdogQuiescesPeersBeforeRecycling) {
   auto y = c.run(sub.value().fp, x);
   ASSERT_TRUE(y.ok()) << y.error().to_string();
   expect_ulp_match(a, x, y.value());
+}
+
+TEST_F(MultiExecSocketFixture, WatchdogFireOnAPeerRequestDrainsAndRecycles) {
+  if (!robust::fault_injection_enabled())
+    GTEST_SKIP() << "built without SPMVOPT_FAULT_INJECTION";
+  // No monster: two peers run small requests, so the armed fire lands on a
+  // peer request in flight.  That request is cancelled (or finishes before
+  // its next poll); the recycle gate drains the other peer, recycles, and
+  // both resume on the fresh pool.
+  const ServerStats st0 = core_->stats();
+  std::atomic<bool> stop{false};
+  std::atomic<int> cancelled{0};
+  std::atomic<int> failures{0};
+  std::array<std::atomic<int>, 2> runs{};
+  const auto peer_body = [&](int p) {
+    auto pc = Client::connect(socket_path_);
+    if (!pc.ok()) {
+      ++failures;
+      return;
+    }
+    const CsrMatrix a = small_matrix(88 + p);
+    auto sub = pc.value().submit(a);
+    if (!sub.ok()) {
+      ++failures;
+      return;
+    }
+    const auto x = gen::test_vector(a.ncols());
+    while (!stop.load()) {
+      auto y = pc.value().run(sub.value().fp, x);
+      if (!y.ok() && y.error().category() == ErrorCategory::Cancelled)
+        ++cancelled;
+      else if (!y.ok() || !verify::check_spmv(a, x, y.value()).pass())
+        ++failures;
+      else
+        ++runs[static_cast<std::size_t>(p)];
+    }
+  };
+  std::thread p0(peer_body, 0), p1(peer_body, 1);
+  const auto wait_for = [](const auto& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  const auto both_ran_since = [&](int r0, int r1) {
+    return (runs[0].load() > r0 && runs[1].load() > r1) || failures.load() > 0;
+  };
+  wait_for([&] { return both_ran_since(0, 0); });
+
+  robust::fault_arm("server.watchdog_fire");
+  ServerStats st;
+  wait_for([&] {
+    st = core_->stats();
+    return st.watchdog_fires > st0.watchdog_fires &&
+           st.engine_recycles > st0.engine_recycles;
+  });
+  robust::fault_disarm_all();
+  const int r0 = runs[0].load(), r1 = runs[1].load();
+  wait_for([&] { return both_ran_since(r0, r1); });
+  stop.store(true);
+  p0.join();
+  p1.join();
+
+  EXPECT_EQ(st.watchdog_fires, st0.watchdog_fires + 1);  // one-shot
+  EXPECT_GT(st.engine_recycles, st0.engine_recycles);
+  EXPECT_LE(cancelled.load(), 1);  // only the request the fire landed on
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(runs[0].load(), r0) << "peer 0 did not resume after the recycle";
+  EXPECT_GT(runs[1].load(), r1) << "peer 1 did not resume after the recycle";
 }
 
 TEST_F(MultiExecSocketFixture, DrainCancelsEveryInFlightExecutor) {
